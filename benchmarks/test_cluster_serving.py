@@ -15,8 +15,8 @@ open-loop queue deep enough that requests genuinely wait:
   at most the in-flight batch, a low one for the whole queue ahead).
 * **queue-depth autoscaling** — the same pressure with autoscaling
   enabled must grow the tenant past one lane (scale-up events
-  recorded, extra lanes observed) and still return bitwise-correct
-  results for every request.
+  recorded, each with the live lane count it reached) and still return
+  bitwise-correct results for every request.
 """
 
 import time
@@ -174,20 +174,21 @@ def test_autoscaler_engages_under_queue_pressure(cluster_workload):
         ),
         tenant_id="t",
     )
-    max_lanes_seen = 1
     with cluster:
         futures = [cluster.submit(q, tenant="t") for q in queries]
-        while any(not f.done() for f in futures):
-            max_lanes_seen = max(max_lanes_seen, cluster.tenant_lanes("t"))
-            time.sleep(0.001)
         values = np.vstack([f.result(timeout=120)[0] for f in futures])
         indices = np.vstack([f.result(timeout=120)[1] for f in futures])
-        max_lanes_seen = max(max_lanes_seen, cluster.tenant_lanes("t"))
-        events = [e["action"] for e in cluster.autoscale_events]
+        events = list(cluster.autoscale_events)
+    # Every event records the tenant's live lane count at the moment it
+    # happened, so the peak comes from the log, not from polling a lane
+    # that may live only a few milliseconds.
+    ups = [e for e in events if e["action"] == "scale-up"]
+    peak_lanes = max((e["lanes"] for e in ups), default=1)
     print(
-        f"autoscaler: peak lanes {max_lanes_seen}, events {events}"
+        f"autoscaler: peak lanes {peak_lanes}, "
+        f"events {[e['action'] for e in events]}"
     )
-    assert "scale-up" in events, "queue pressure never triggered scale-up"
-    assert max_lanes_seen >= 2, "no extra lane was ever observed live"
+    assert ups, "queue pressure never triggered scale-up"
+    assert peak_lanes >= 2, "no extra lane was ever live"
     np.testing.assert_array_equal(values, expected_v)
     np.testing.assert_array_equal(indices, expected_i)

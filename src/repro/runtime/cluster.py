@@ -125,11 +125,13 @@ class _LaneRecord:
     machine, ``stats`` the current epoch's traffic.  ``generation``
     bumps whenever a defragmentation swaps the backend, so an in-flight
     serve that raced the swap retries against the fresh session.
+    ``store_seq`` (scaled lanes) is the tenant mutation sequence number
+    of the store the lane serves; a mirror only ever moves it forward.
     """
 
     __slots__ = (
         "backend", "lock", "stats", "serve", "engine_lane", "scaled",
-        "machine_index", "bank_offset", "banks", "generation",
+        "machine_index", "bank_offset", "banks", "generation", "store_seq",
     )
 
     def __init__(self, backend, lock, stats, scaled=False,
@@ -145,6 +147,7 @@ class _LaneRecord:
         self.bank_offset = bank_offset
         self.banks = banks
         self.generation = 0
+        self.store_seq = 0
 
     @property
     def last_report(self):
@@ -160,7 +163,7 @@ class _Tenant:
     __slots__ = (
         "tenant_id", "kind", "program", "shard_set", "func_name", "width",
         "lanes", "retired_lanes", "epoch_reports", "scaling",
-        "store_state", "extra_groups", "initial_gids",
+        "store_state", "extra_groups", "initial_gids", "seq", "state_seq",
     )
 
     def __init__(self, tenant_id, kind, program, shard_set, func_name,
@@ -188,6 +191,12 @@ class _Tenant:
         #: Sharded tenants: the per-shard initial gid assignment the
         #: replay needs to reproduce the parent's id space.
         self.initial_gids = None
+        #: Mutations applied to the primary (bumped under its lane
+        #: lock, so in apply order) and the one ``store_state`` records.
+        #: Concurrent mutations record and mirror outside that lock, so
+        #: both steps keep only a newer state.
+        self.seq = 0
+        self.state_seq = 0
 
 
 class Cluster(ExecutionBackend, MachineGroupView):
@@ -1041,6 +1050,8 @@ class Cluster(ExecutionBackend, MachineGroupView):
                         raise
                     grow = True
                 else:
+                    tenant_rec.seq += 1
+                    seq = tenant_rec.seq
                     state = backend.store_state()
                     groups = getattr(backend, "growth_groups", 0)
                     initial = getattr(backend, "_initial_gids", None)
@@ -1050,24 +1061,30 @@ class Cluster(ExecutionBackend, MachineGroupView):
                 break
             self._grow_tenant(tid)
         with self._admit_lock:
-            tenant_rec = self._tenants.get(tid)
             scaled: List[_LaneRecord] = []
-            if tenant_rec is not None:
-                tenant_rec.store_state = state
-                tenant_rec.extra_groups = groups
-                if initial is not None:
-                    tenant_rec.initial_gids = [list(g) for g in initial]
-                if shard_set is not None and tenant_rec.kind == "sharded":
-                    tenant_rec.shard_set = shard_set
-                if banks is not None and record.machine_index is not None:
-                    record.banks = banks
+            if self._tenants.get(tid) is tenant_rec:
+                if seq > tenant_rec.state_seq:
+                    tenant_rec.state_seq = seq
+                    tenant_rec.store_state = state
+                    tenant_rec.extra_groups = groups
+                    if initial is not None:
+                        tenant_rec.initial_gids = [list(g) for g in initial]
+                    if shard_set is not None \
+                            and tenant_rec.kind == "sharded":
+                        tenant_rec.shard_set = shard_set
+                    if banks is not None \
+                            and record.machine_index is not None:
+                        record.banks = banks
                 scaled = list(tenant_rec.lanes[1:])
         # Completion barrier: every scaled lane adopts the new store
         # (under its own lock, so an in-flight batch drains first)
-        # before the mutation returns to the caller.
+        # before the mutation returns to the caller.  A lane already
+        # serving a later mutation's store keeps it.
         for rec in scaled:
             with rec.lock:
-                rec.backend.restore(state)
+                if seq > rec.store_seq:
+                    rec.backend.restore(state)
+                    rec.store_seq = seq
         return result
 
     @staticmethod
@@ -1221,25 +1238,50 @@ class Cluster(ExecutionBackend, MachineGroupView):
                 if tenant is not None:
                     tenant.scaling = False
 
+    def _clone_primary(self, tenant_id: str):
+        """Clone the tenant's primary backend under its lane lock, so no
+        mutation can tear the copy.
+
+        Returns ``(tenant, backend, seq)`` — ``seq`` is the mutation
+        sequence number of the cloned store — or ``None`` when the tenant
+        is gone.
+        """
+        while True:
+            with self._admit_lock:
+                tenant = self._tenants.get(tenant_id)
+                if tenant is None:
+                    return None
+                primary = tenant.lanes[0]
+            generation = primary.generation
+            with primary.lock:
+                if primary.generation != generation:
+                    continue  # defragged while waiting: rebind
+                return tenant, primary.backend.clone(), tenant.seq
+
     def _add_scaled_lane(self, tenant_id: str, reason: str) -> None:
         """Clone the tenant's primary session onto a private machine and
         attach it as a new serving lane."""
+        # The clone programs a fresh machine — slow; the control-plane
+        # lock stays free meanwhile so admits/evicts/submits keep flowing.
+        cloned = self._clone_primary(tenant_id)
+        if cloned is None:
+            return
+        source, backend, seq = cloned
         with self._admit_lock:
             tenant = self._tenants.get(tenant_id)
-            if tenant is None:
-                return
-            base = tenant.lanes[0].backend
-        # The clone programs a fresh machine — slow; done outside the
-        # control-plane lock so admits/evicts/submits keep flowing.
-        backend = base.clone()
-        with self._admit_lock:
-            tenant = self._tenants.get(tenant_id)
-            if tenant is None or self._closed:
+            if tenant is not source or self._closed:
                 return  # evicted while the clone programmed: discard
+            if tenant.state_seq > seq:
+                # Mutations recorded since the clone took their mirror
+                # lists before this lane existed: adopt the latest store
+                # here.  Later ones see the lane and mirror onto it.
+                backend.restore(tenant.store_state)
+                seq = tenant.state_seq
             record = _LaneRecord(
                 backend, threading.Lock(), LaneStats(backend), scaled=True,
                 machine_index=None,
             )
+            record.store_seq = seq
             record.serve = self._make_serve(record)
             tenant.lanes.append(record)
             if self._engine is not None:

@@ -14,6 +14,8 @@ match lines realise (paper §II-B):
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: TCAM don't-care marker in stored codes.  NaN never collides with real
@@ -43,6 +45,63 @@ def quantize(data: np.ndarray, bits: int) -> np.ndarray:
     return np.clip(np.rint(scaled), 0, levels - 1).astype(np.int64)
 
 
+#: Byte budget of one scoring temporary.  A batch is scored in query-row
+#: chunks whose ``chunk × R × C`` float64 scratch fits in about a core's L2
+#: cache, so broadcast, square and reduction run out of cache instead of
+#: streaming freshly faulted pages (a 64-query batch on a 1024×32 slice
+#: would otherwise build three 16 MiB temporaries).
+SCRATCH_BYTES = 1 << 20
+
+#: Upper cap on the query rows scored per vectorized step, whatever the
+#: byte budget allows.  Per-row reductions are independent, so chunking
+#: is bitwise-invisible.
+BATCH_CHUNK = 256
+
+
+def scoring_chunk(rows: int, cols: int) -> int:
+    """Query rows per step for an ``rows × cols`` slice: as many as fit
+    :data:`SCRATCH_BYTES` of float64 scratch, at least 1, at most
+    :data:`BATCH_CHUNK`."""
+    per_query = rows * cols * 8
+    if per_query == 0:
+        return BATCH_CHUNK
+    return max(1, min(BATCH_CHUNK, SCRATCH_BYTES // per_query))
+
+
+def _score_blocked(step, stored, query, buf_dtype, out_dtype):
+    """Drive ``step(q, buf, out)`` over cache-sized query-row chunks.
+
+    ``query`` is one query (``C``) or a batch (``...×C``); ``step``
+    scores the ``n×C`` chunk ``q`` into the ``n×R`` slice ``out`` using
+    the ``n×R×C`` scratch ``buf`` and returns ``out``.  A batch that
+    fits one chunk passes ``None`` for both (numpy allocates them, within
+    the budget); a larger one reuses a single scratch buffer.  With a
+    C-contiguous ``stored`` both are C-ordered, so each output element
+    is the same elementwise ops followed by the same contiguous
+    ``axis=-1`` reduction over the same ``C`` values as a full-batch
+    broadcast: results are bitwise identical.
+    """
+    lead = query.shape[:-1]
+    rows, cols = stored.shape
+    n_queries = math.prod(lead)
+    q = query.reshape(n_queries, query.shape[-1])
+    chunk = scoring_chunk(rows, cols)
+    if n_queries <= chunk:
+        return step(q, None, None).reshape(lead + (rows,))
+    out = np.empty((n_queries, rows), dtype=out_dtype)
+    buf = np.empty((chunk, rows, cols), dtype=buf_dtype)
+    for i in range(0, n_queries, chunk):
+        j = min(i + chunk, n_queries)
+        step(q[i:j], buf[: j - i], out[i:j])
+    return out.reshape(lead + (rows,))
+
+
+def _dont_care_mask(stored: np.ndarray):
+    """The don't-care mask, or ``None`` when the store has none."""
+    mask = is_dont_care(stored)
+    return mask if mask.any() else None
+
+
 def hamming_distance(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Per-row count of mismatching cells (don't-cares never mismatch).
 
@@ -50,9 +109,17 @@ def hamming_distance(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     ``B×C`` batch.  Returns a length-``R`` vector (``B×R`` for batches).
     """
     query = np.asarray(query)
-    mism = stored != query[..., None, :]
-    mism &= ~is_dont_care(stored)
-    return mism.sum(axis=-1).astype(np.float64)
+    mask = _dont_care_mask(stored)
+    care = None if mask is None else ~mask
+
+    def step(q, mism, out):
+        mism = np.not_equal(stored, q[:, None, :], out=mism)
+        if care is not None:
+            mism &= care
+        return mism.sum(axis=-1, out=out)
+
+    counts = _score_blocked(step, stored, query, np.bool_, np.int64)
+    return counts.astype(np.float64)
 
 
 def euclidean_sq_distance(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -62,10 +129,18 @@ def euclidean_sq_distance(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     unbounded range matches any query value).  ``query`` may be a batch
     (``B×C`` → ``B×R`` scores).
     """
-    query = np.asarray(query).astype(np.float64)
-    diff = stored.astype(np.float64) - query[..., None, :]
-    diff = np.where(is_dont_care(stored), 0.0, diff)
-    return (diff * diff).sum(axis=-1)
+    query = np.asarray(query, dtype=np.float64)
+    mask = _dont_care_mask(stored)
+    stored = np.ascontiguousarray(stored, dtype=np.float64)
+
+    def step(q, diff, out):
+        diff = np.subtract(stored, q[:, None, :], out=diff)
+        if mask is not None:
+            np.copyto(diff, 0.0, where=mask)
+        np.multiply(diff, diff, out=diff)
+        return diff.sum(axis=-1, out=out)
+
+    return _score_blocked(step, stored, query, np.float64, np.float64)
 
 
 def dot_similarity(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -74,11 +149,19 @@ def dot_similarity(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     Don't-care cells contribute nothing to the sum.  ``query`` may be a
     batch (``B×C`` → ``B×R`` scores).
     """
-    s = np.where(is_dont_care(stored), 0.0, stored.astype(np.float64))
+    mask = _dont_care_mask(stored)
+    s = np.ascontiguousarray(stored, dtype=np.float64)
+    if mask is not None:
+        s = np.where(mask, 0.0, s)
     # Broadcast-multiply + pairwise sum (not BLAS matmul) so batched and
     # single-query scores reduce in the same order — bitwise identical.
-    query = np.asarray(query).astype(np.float64)
-    return (s * query[..., None, :]).sum(axis=-1)
+    query = np.asarray(query, dtype=np.float64)
+
+    def step(q, prod, out):
+        prod = np.multiply(s, q[:, None, :], out=prod)
+        return prod.sum(axis=-1, out=out)
+
+    return _score_blocked(step, s, query, np.float64, np.float64)
 
 
 #: metric name -> (function, True when larger score means better match)
@@ -89,30 +172,17 @@ METRIC_FUNCTIONS = {
 }
 
 
-#: Query-batch rows scored per vectorized step.  The batched kernels
-#: materialize a ``chunk × R × C`` temporary; chunking bounds that to a
-#: few MB regardless of the serving batch size.  Per-row reductions are
-#: independent, so chunking is bitwise-invisible.
-BATCH_CHUNK = 256
-
-
 def compute_scores(metric: str, stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Dispatch to the metric implementation.
 
     ``query`` may be a single query (``C``) or a batch (``B×C``);
-    batches are scored in :data:`BATCH_CHUNK`-row chunks to bound the
-    broadcast temporaries.
+    batches are scored in cache-sized chunks (see
+    :data:`SCRATCH_BYTES`) so the temporaries stay bounded.
     """
     try:
         fn, _ = METRIC_FUNCTIONS[metric]
     except KeyError:
         raise ValueError(f"unknown CAM metric: {metric!r}") from None
-    query = np.asarray(query)
-    if query.ndim > 1 and query.shape[0] > BATCH_CHUNK:
-        return np.concatenate([
-            fn(stored, query[i : i + BATCH_CHUNK])
-            for i in range(0, query.shape[0], BATCH_CHUNK)
-        ])
     return fn(stored, query)
 
 

@@ -10,6 +10,7 @@ autoscaling and epoch-aware accounting
 refactor put under every execution mode.
 """
 
+import threading
 import time
 from concurrent.futures import CancelledError
 from dataclasses import replace
@@ -431,6 +432,117 @@ class TestAutoscaler:
             tenant_id="t", lanes=2,
         )
         assert cluster.tenant_lanes("t") == 2
+
+    @pytest.mark.parametrize("num_shards", [None, 2])
+    def test_scaled_lane_adopts_mutation_racing_its_clone(
+        self, dot_kernel, monkeypatch, num_shards
+    ):
+        """A mutation landing between a scaled lane's clone and its
+        attach takes its mirror list before the lane exists; the lane
+        must still serve the post-mutation store, not the cloned one."""
+        # A private generator: the shared session-scoped ``rng`` would
+        # shift the data every later test draws.
+        rng = np.random.default_rng(2024)
+        spec = replace(dse_spec(16), banks=2)
+        stored = rng.choice([-1.0, 1.0], (8, 64)).astype(np.float32)
+        cluster = Cluster(spec, autoscale_max_lanes=2)
+        cluster.admit(
+            compile_dot(dot_kernel, stored, k=2, spec=spec,
+                        num_shards=num_shards),
+            tenant_id="t",
+        )
+        updated = -stored[3]
+        inserted = rng.choice([-1.0, 1.0], (1, 64)).astype(np.float32)
+        clone_primary = cluster._clone_primary
+
+        def racing_clone(tenant_id):
+            cloned = clone_primary(tenant_id)
+            cluster.update(3, updated, tenant="t")
+            assert cluster.insert(inserted, tenant="t") == [len(stored)]
+            return cloned
+
+        monkeypatch.setattr(cluster, "_clone_primary", racing_clone)
+        cluster._add_scaled_lane("t", reason="test")
+        assert cluster.tenant_lanes("t") == 2
+
+        live = stored.copy()
+        live[3] = updated
+        queries = np.vstack([updated, inserted[0], stored[5]])
+        want = compile_dot(
+            dot_kernel, np.vstack([live, inserted]), k=2, spec=spec
+        ).run_batch(queries)
+        stale = compile_dot(dot_kernel, stored, k=2, spec=spec).run_batch(
+            queries
+        )
+        assert not np.array_equal(stale[1], want[1])
+        scaled = cluster._tenants["t"].lanes[1]
+        for got in (scaled.serve(queries, "t"),
+                    cluster.run_batch(queries, tenant="t")):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        cluster.shutdown()
+
+    def test_concurrent_mutations_keep_the_newest_store(self, dot_kernel):
+        """Two mutations of one tenant record and mirror outside the
+        primary's lock.  When the one applied first records last, the
+        recorded store and the scaled lanes must keep the newer store."""
+        rng = np.random.default_rng(2025)
+        spec = replace(dse_spec(16), banks=2)
+        stored = rng.choice([-1.0, 1.0], (8, 64)).astype(np.float32)
+        cluster = Cluster(spec, autoscale_max_lanes=2)
+        cluster.admit(compile_dot(dot_kernel, stored, k=2, spec=spec),
+                      tenant_id="t")
+        cluster._add_scaled_lane("t", reason="test")
+        first, second = -stored[1], -stored[2]
+
+        # Hold the first mutation between its op (done under the primary
+        # lane's lock) and its record step (under the control-plane lock)
+        # until the second mutation has completed.
+        applied, held, done = (threading.Event() for _ in range(3))
+        admit_lock = cluster._admit_lock
+
+        class HoldingLock:
+            def __enter__(self):
+                if (threading.current_thread().name == "first"
+                        and applied.is_set() and not held.is_set()):
+                    held.set()
+                    done.wait(10)
+                admit_lock.acquire()
+
+            def __exit__(self, *exc):
+                admit_lock.release()
+
+        def first_op(backend):
+            backend.update(1, first)
+            applied.set()
+
+        cluster._admit_lock = HoldingLock()
+        worker = threading.Thread(
+            target=cluster._mutate, args=("t", first_op), name="first"
+        )
+        worker.start()
+        assert held.wait(10)
+        cluster.update(2, second, tenant="t")
+        done.set()
+        worker.join(10)
+        assert not worker.is_alive()
+        cluster._admit_lock = admit_lock
+
+        live = stored.copy()
+        live[1], live[2] = first, second
+        queries = np.vstack([first, second, stored[4]])
+        want = compile_dot(dot_kernel, live, k=2, spec=spec).run_batch(
+            queries
+        )
+        replica = cluster.clone()   # re-admits from the recorded store
+        scaled = cluster._tenants["t"].lanes[1]
+        for got in (cluster.run_batch(queries, tenant="t"),
+                    scaled.serve(queries, "t"),
+                    replica.run_batch(queries, tenant="t")):
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        replica.shutdown()
+        cluster.shutdown()
 
     def test_cost_policy_scales_most_burdened_tenant(self, dot_kernel,
                                                      stores, rng):
